@@ -1,17 +1,21 @@
-# Test tiers. tier1 is the gate every change must keep green; tier2
-# adds vet and the race detector (the mcclient ejection path is
-# exercised concurrently).
+# Test tiers. tier1 is the gate every change must keep green; it also
+# builds, vets and tests the perfbench module, which has its own go.mod
+# and so is outside the root ./... pattern. tier2 adds gofmt, vet and
+# the race detector (the mcclient ejection path is exercised
+# concurrently).
 
 .PHONY: tier1 tier2 test perfgate memcheck memcheck-lossy memcheck-onesided memcheck-onesided-lossy \
-        memcheck-srq memcheck-srq-lossy memcheck-ud memcheck-ud-lossy \
+        memcheck-srq memcheck-srq-lossy \
         memcheck-wrreply memcheck-wrreply-lossy memcheck-fleet memcheck-fleet-lossy \
         mutations fuzz-smoke
 
 tier1:
 	go build ./...
 	go test ./...
+	cd perfbench && go vet ./... && go test ./...
 
 tier2:
+	test -z "$$(gofmt -l .)"
 	go vet ./...
 	go test -race ./...
 
@@ -35,20 +39,14 @@ memcheck-onesided:
 memcheck-onesided-lossy:
 	go run ./cmd/mccheck -transport UCR-IB -seeds $(MEMCHECK_SEEDS) -onesided -faults
 
-# Connection-scalability sweeps (UCR-IB only): shared-SRQ serving and
-# the hybrid UD small-get mode. Each sweep fails if it never actually
-# drove the armed datapath (vacuity guard — see cmd/mccheck).
+# Connection-scalability sweeps (UCR-IB only): shared-SRQ serving. Each
+# sweep fails if it never actually drove the armed datapath (vacuity
+# guard — see cmd/mccheck).
 memcheck-srq:
 	go run ./cmd/mccheck -transport UCR-IB -seeds $(MEMCHECK_SEEDS) -srq
 
 memcheck-srq-lossy:
 	go run ./cmd/mccheck -transport UCR-IB -seeds $(MEMCHECK_SEEDS) -srq -faults
-
-memcheck-ud:
-	go run ./cmd/mccheck -transport UCR-IB -seeds $(MEMCHECK_SEEDS) -ud
-
-memcheck-ud-lossy:
-	go run ./cmd/mccheck -transport UCR-IB -seeds $(MEMCHECK_SEEDS) -ud -faults
 
 # Write-based reply sweeps (UCR-IB only): RDMA-write replies into the
 # client's slot arena. Fails on vacuity if no reply rode the write path.
@@ -70,7 +68,7 @@ memcheck-fleet-lossy:
 # Checker validation: every seeded store mutation must be caught.
 MUTATIONS = mut_append_nocas mut_get_skip_expiry mut_cas_ignore_id \
             mut_delete_noop mut_add_clobbers mut_proto_drop_flags \
-            mut_onesided_stale mut_srq_misroute mut_ud_dup_ack \
+            mut_onesided_stale mut_srq_misroute mut_dup_ack \
             mut_wrreply_stale mut_ring_stale mut_replica_skip
 
 mutations:

@@ -32,10 +32,10 @@ import (
 
 // report is the -json payload: everything the run produced, in order.
 type report struct {
-	OpsPerPoint int                   `json:"ops_per_point"`
-	Stripes     int                   `json:"stripes,omitempty"`
-	Figures     []*bench.Figure       `json:"figures,omitempty"`
-	Scaling     []bench.ScalingPoint  `json:"scaling,omitempty"`
+	OpsPerPoint int                    `json:"ops_per_point"`
+	Stripes     int                    `json:"stripes,omitempty"`
+	Figures     []*bench.Figure        `json:"figures,omitempty"`
+	Scaling     []bench.ScalingPoint   `json:"scaling,omitempty"`
 	Pipeline    []bench.PipelinePoint  `json:"pipeline,omitempty"`
 	OneSided    *bench.OneSidedReport  `json:"onesided,omitempty"`
 	ConnScale   *bench.ConnScaleReport `json:"connscale,omitempty"`
@@ -119,7 +119,7 @@ type jsonFlag struct {
 	path string
 }
 
-func (f *jsonFlag) String() string { return f.path }
+func (f *jsonFlag) String() string   { return f.path }
 func (f *jsonFlag) IsBoolFlag() bool { return true }
 func (f *jsonFlag) Set(s string) error {
 	f.set = true
@@ -230,7 +230,7 @@ func main() {
 		pipeline  = flag.Bool("pipeline", false, "run the pipelined window-depth sweep instead of the figures")
 		wrreply   = flag.Bool("wrreply", false, "run the write-reply crossover sweep (pipelined GETs, write-based replies off vs on) instead of the figures")
 		onesided  = flag.Bool("onesided", false, "run the one-sided GET vs AM GET sweep instead of the figures")
-		connscale = flag.Bool("connscale", false, "run the connection-scalability sweep (rc/srq/ud/mux) instead of the figures")
+		connscale = flag.Bool("connscale", false, "run the connection-scalability sweep (rc vs shared-SRQ serving) instead of the figures")
 		fleet     = flag.Bool("fleet", false, "run the fleet-scale sweep (N servers, 10N replicated clients, churn) instead of the figures")
 		quick     = flag.Bool("quick", false, "with -pipeline/-onesided/-connscale/-fleet: trimmed axes for a CI smoke run; alone: the perf-gate suite")
 	)

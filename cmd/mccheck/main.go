@@ -40,7 +40,6 @@ func main() {
 		nobursts  = flag.Bool("nobursts", false, "blocking ops only, TTL mix enabled")
 		onesided  = flag.Bool("onesided", false, "arm the one-sided GET path (UCR transport)")
 		srq       = flag.Bool("srq", false, "serve from shared receive queues (UCR transport)")
-		ud        = flag.Bool("ud", false, "arm the hybrid UD small-get mode (UCR transport)")
 		wrreply   = flag.Bool("wrreply", false, "arm the write-based reply path (UCR transport)")
 		fleet     = flag.Bool("fleet", false, "fleet mode: replicated churn-capable cluster against the ownership model")
 		servers   = flag.Int("servers", 0, "fleet mode: initial member count (default 4)")
@@ -92,18 +91,12 @@ func main() {
 				*wrreply = true
 				fmt.Println("mccheck: -wrreply implied by mut_wrreply_stale")
 			}
-			if m == "mut_ud_dup_ack" {
+			if m == "mut_dup_ack" && !*faults {
 				// The dup-accept only fires when late duplicate replies
-				// exist, which takes UD traffic plus timeouts from a lossy
+				// exist, which takes AM re-sends after timeouts on a lossy
 				// fabric.
-				if !*ud {
-					*ud = true
-					fmt.Println("mccheck: -ud implied by mut_ud_dup_ack")
-				}
-				if !*faults {
-					*faults = true
-					fmt.Println("mccheck: -faults implied by mut_ud_dup_ack")
-				}
+				*faults = true
+				fmt.Println("mccheck: -faults implied by mut_dup_ack")
 			}
 		}
 	}
@@ -123,7 +116,7 @@ func main() {
 
 	runs := 0
 	ucrRuns := 0
-	var srqDemux, udGets, udRetx, batchedDrains, writeReplies uint64
+	var srqDemux, batchedDrains, writeReplies uint64
 	for _, tr := range trs {
 		for _, s := range seedList {
 			cfg := memcheck.Config{
@@ -131,7 +124,6 @@ func main() {
 				NoBursts: *nobursts, Clients: *clients, Ops: *ops,
 				OneSided:     *onesided && tr == cluster.UCRIB,
 				SRQ:          *srq && tr == cluster.UCRIB,
-				UD:           *ud && tr == cluster.UCRIB,
 				WriteReplies: *wrreply && tr == cluster.UCRIB,
 			}
 			var res *memcheck.Result
@@ -152,8 +144,6 @@ func main() {
 			}
 			runs++
 			srqDemux += res.SRQDemux
-			udGets += res.UDGets
-			udRetx += res.UDRetransmits
 			batchedDrains += res.BatchedDrains
 			writeReplies += res.WriteReplies
 			if tr == cluster.UCRIB {
@@ -183,14 +173,6 @@ func main() {
 		fmt.Println("mccheck: FAIL: -srq armed but no SRQ demux decisions recorded (vacuous sweep)")
 		os.Exit(1)
 	}
-	if *ud && udGets == 0 {
-		fmt.Println("mccheck: FAIL: -ud armed but no requests rode the UD endpoint (vacuous sweep)")
-		os.Exit(1)
-	}
-	if *ud && *faults && udRetx == 0 {
-		fmt.Println("mccheck: FAIL: -ud -faults armed but no UD retransmissions happened (vacuous sweep)")
-		os.Exit(1)
-	}
 	if *wrreply && writeReplies == 0 {
 		fmt.Println("mccheck: FAIL: -wrreply armed but no reply was posted as an RDMA write (vacuous sweep)")
 		os.Exit(1)
@@ -204,8 +186,8 @@ func main() {
 		fmt.Println("mccheck: FAIL: UCR sweep with bursts but no batched CQ drains recorded (batch path vacuous)")
 		os.Exit(1)
 	}
-	fmt.Printf("mccheck: PASS %d runs (%s, seeds=%d, faults=%v, pressure=%v, srq=%v, ud=%v, wrreply=%v; srqDemux=%d udGets=%d udRetx=%d batchedDrains=%d writeReplies=%d)\n",
-		runs, *transport, len(seedList), *faults, *pressure, *srq, *ud, *wrreply, srqDemux, udGets, udRetx, batchedDrains, writeReplies)
+	fmt.Printf("mccheck: PASS %d runs (%s, seeds=%d, faults=%v, pressure=%v, srq=%v, wrreply=%v; srqDemux=%d batchedDrains=%d writeReplies=%d)\n",
+		runs, *transport, len(seedList), *faults, *pressure, *srq, *wrreply, srqDemux, batchedDrains, writeReplies)
 }
 
 // runFleetMode sweeps the fleet checker and applies its vacuity guards.

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"log"
 	"net"
@@ -47,17 +48,47 @@ func main() {
 	}
 	log.Printf("mcserver: engine %s listening on %s (%d MB)", memcached.Version, lis.Addr(), *memMB)
 
-	start := time.Now()
+	acceptLoop(lis, store, time.Now(), *verbose)
+}
+
+// Accept back-off bounds (the schedule net/http's server uses).
+const (
+	acceptDelayMin = 5 * time.Millisecond
+	acceptDelayMax = time.Second
+)
+
+// acceptLoop serves every connection lis yields until lis is closed. An
+// accept error — EMFILE when the process is out of descriptors,
+// ECONNABORTED from a client that gave up in the backlog — is logged
+// and retried after a back-off that starts at acceptDelayMin, doubles
+// up to acceptDelayMax and resets on the next successful accept, so a
+// transient condition never takes the cache down. It returns only on
+// net.ErrClosed.
+func acceptLoop(lis net.Listener, store *memcached.Store, start time.Time, verbose bool) {
+	var delay time.Duration
 	for {
 		conn, err := lis.Accept()
 		if err != nil {
-			log.Fatalf("mcserver: accept: %v", err)
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			delay = nextAcceptDelay(delay)
+			log.Printf("mcserver: accept: %v; retrying in %v", err, delay)
+			time.Sleep(delay)
+			continue
 		}
-		if *verbose {
+		delay = 0
+		if verbose {
 			log.Printf("mcserver: connection from %s", conn.RemoteAddr())
 		}
-		go serve(conn, store, start, *verbose)
+		go serve(conn, store, start, verbose)
 	}
+}
+
+// nextAcceptDelay is the back-off after an accept error, given the
+// previous one (zero after a successful accept).
+func nextAcceptDelay(prev time.Duration) time.Duration {
+	return min(max(2*prev, acceptDelayMin), acceptDelayMax)
 }
 
 // serve drives one connection. The wall clock stands in for virtual

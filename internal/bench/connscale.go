@@ -7,26 +7,20 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mcclient"
-	"repro/internal/simnet"
 )
 
 // This file is the §VII connection-scalability study: how much server
 // receive-buffer memory one more client costs, per datapath mode, and
 // what that implies at client counts far beyond what the testbed (or
 // this simulator) can host as live endpoints. Dedicated RC resources
-// are the scaling limit the paper names; the SRQ, UD, and concentrator
-// modes each attack a different term of it.
+// are the scaling limit the paper names; a shared receive queue removes
+// the per-client receive-buffer term of it.
 
 // connScaleModes are the datapaths compared, in report order.
 //
 //	rc  — baseline: one RC QP per client, per-endpoint credit windows
 //	srq — one shared receive pool per server worker (Options.UseSRQ)
-//	ud  — SRQ plus the hybrid UD small-get endpoint (Options.UDGets)
-//	mux — connection concentrator: connScaleMuxK sessions per RC QP
-var connScaleModes = []string{"rc", "srq", "ud", "mux"}
-
-// connScaleMuxK is the concentrator fan-in used by the mux mode.
-const connScaleMuxK = 16
+var connScaleModes = []string{"rc", "srq"}
 
 // connScaleFitCounts are the live client counts the footprint is
 // actually measured at; the linear fit through them extrapolates to the
@@ -66,14 +60,8 @@ type ConnScaleReport struct {
 
 // connScaleDeploy maps a mode name onto deployment options.
 func connScaleDeploy(mode string, o cluster.Options) cluster.Options {
-	switch mode {
-	case "srq":
+	if mode == "srq" {
 		o.UseSRQ = true
-	case "ud":
-		o.UseSRQ = true
-		o.UDGets = true
-	case "mux":
-		o.SessionsPerQP = connScaleMuxK
 	}
 	return o
 }
@@ -99,14 +87,9 @@ func connScaleFootprint(p *cluster.Profile, mode string, nClients int, cfg RunCo
 
 // connScaleTPS measures aggregate closed-loop small-get TPS with
 // nClients live clients, each running cfg.OpsPerPoint gets against the
-// shared keyspace. Unlike TPSPoint it drives every client from ONE
-// goroutine, round-robin: the srq/ud/mux datapaths funnel many clients
-// through shared server structures (one receive pool, one UD QP, one
-// trunk lock), so with concurrent drivers the real-time goroutine
-// interleaving would pick the virtual-time service order and the number
-// would change run to run. Round-robin fixes the event order while
-// keeping the closed-loop semantics — each client's virtual clock still
-// advances only by its own op latencies.
+// shared keyspace, driven round-robin (see roundRobin): the srq datapath
+// funnels many clients through one receive pool per worker, which
+// concurrent drivers would book in real-time order.
 func connScaleTPS(p *cluster.Profile, mode string, nClients int, cfg RunConfig) (float64, error) {
 	d := cluster.New(p, connScaleDeploy(mode, cfg.Deploy))
 	defer d.Close()
@@ -126,33 +109,12 @@ func connScaleTPS(p *cluster.Profile, mode string, nClients int, cfg RunConfig) 
 			return 0, err
 		}
 	}
-	var start simnet.Time
-	for _, c := range clients {
-		if c.Clock.Now() > start {
-			start = c.Clock.Now()
-		}
-	}
-	for _, c := range clients {
-		c.Clock.AdvanceTo(start)
-	}
-
-	workloads := make([]*Workload, nClients)
-	for i := range workloads {
-		workloads[i] = NewWorkload(cfg.Seed, cfg.KeySpace, scalingValueSize)
-		workloads[i].nextKey = i
-	}
-	for n := 0; n < cfg.OpsPerPoint; n++ {
-		for i, c := range clients {
-			if _, _, _, err := c.MC.Get(workloads[i].Key()); err != nil {
-				return 0, fmt.Errorf("client %d op %d: %w", i, n, err)
-			}
-		}
-	}
-	var makespan simnet.Duration
-	for _, c := range clients {
-		if d := c.Clock.Now() - start; d > makespan {
-			makespan = d
-		}
+	makespan, err := roundRobin(clients, cfg, scalingValueSize, func(c *cluster.Client, w *Workload, _ int) error {
+		_, _, _, err := c.MC.Get(w.Key())
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
 	totalOps := float64(nClients * cfg.OpsPerPoint)
 	return totalOps / makespan.Seconds(), nil

@@ -105,7 +105,34 @@ func TPSPoint(p *cluster.Profile, t cluster.Transport, nClients, size int, cfg R
 			return 0, err
 		}
 	}
-	// Align clocks at a common virtual start.
+	makespan, err := roundRobin(clients, cfg, size, func(c *cluster.Client, w *Workload, _ int) error {
+		_, _, _, err := c.MC.Get(w.Key())
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	totalOps := float64(nClients * cfg.OpsPerPoint)
+	return totalOps / makespan.Seconds(), nil
+}
+
+// roundRobin runs a closed-loop multi-client measurement: it aligns the
+// clients' clocks at a common virtual start, then drives every client
+// from this goroutine, one op per client per round, cfg.OpsPerPoint
+// rounds, and returns the makespan. Client i draws keys from the shared
+// keyspace starting at offset i; op issues the n-th blocking operation.
+//
+// Concurrent client goroutines would let the real-time interleaving
+// pick the virtual-time service order: actors book shared resources
+// (server worker clocks, lock stripes, receive pools) in physical call
+// order, and Go's scheduler can run a client and its server worker as a
+// ping-pong pair while the other clients wait, so one client finishes
+// all its ops before the next starts and the run measures serialized
+// clients. Round-robin fixes the event order — the number is the same
+// on every run — while keeping the closed-loop semantics: each client's
+// virtual clock still advances only by its own op latencies.
+func roundRobin(clients []*cluster.Client, cfg RunConfig, size int,
+	op func(c *cluster.Client, w *Workload, n int) error) (simnet.Duration, error) {
 	var start simnet.Time
 	for _, c := range clients {
 		if c.Clock.Now() > start {
@@ -115,39 +142,25 @@ func TPSPoint(p *cluster.Profile, t cluster.Transport, nClients, size int, cfg R
 	for _, c := range clients {
 		c.Clock.AdvanceTo(start)
 	}
-
-	type result struct {
-		end simnet.Time
-		err error
+	ws := make([]*Workload, len(clients))
+	for i := range ws {
+		ws[i] = NewWorkload(cfg.Seed, cfg.KeySpace, size)
+		ws[i].nextKey = i
 	}
-	results := make(chan result, nClients)
-	opsPerClient := cfg.OpsPerPoint
-	for i, c := range clients {
-		go func(i int, c *cluster.Client) {
-			// Same keyspace as the populator, staggered start offsets.
-			w := NewWorkload(cfg.Seed, cfg.KeySpace, size)
-			w.nextKey = i
-			for n := 0; n < opsPerClient; n++ {
-				if _, _, _, err := c.MC.Get(w.Key()); err != nil {
-					results <- result{err: err}
-					return
-				}
+	for n := 0; n < cfg.OpsPerPoint; n++ {
+		for i, c := range clients {
+			if err := op(c, ws[i], n); err != nil {
+				return 0, fmt.Errorf("client %d op %d: %w", i, n, err)
 			}
-			results <- result{end: c.Clock.Now()}
-		}(i, c)
+		}
 	}
 	var makespan simnet.Duration
-	for range clients {
-		r := <-results
-		if r.err != nil {
-			return 0, r.err
-		}
-		if d := r.end - start; d > makespan {
+	for _, c := range clients {
+		if d := c.Clock.Now() - start; d > makespan {
 			makespan = d
 		}
 	}
-	totalOps := float64(nClients * opsPerClient)
-	return totalOps / makespan.Seconds(), nil
+	return makespan, nil
 }
 
 // TPSSweep runs TPSPoint across client counts for every transport,

@@ -93,53 +93,19 @@ func mixTPSPoint(p *cluster.Profile, t cluster.Transport, nClients, size int, mi
 			return 0, err
 		}
 	}
-	var start simnet.Time
-	for _, c := range clients {
-		if c.Clock.Now() > start {
-			start = c.Clock.Now()
-		}
-	}
-	for _, c := range clients {
-		c.Clock.AdvanceTo(start)
-	}
-
-	type result struct {
-		end simnet.Time
-		err error
-	}
-	results := make(chan result, nClients)
 	cycle := mix.ops()
-	opsPerClient := cfg.OpsPerPoint
-	for i, c := range clients {
-		go func(i int, c *cluster.Client) {
-			w := NewWorkload(cfg.Seed, cfg.KeySpace, size)
-			w.nextKey = i
-			for n := 0; n < opsPerClient; n++ {
-				key := w.Key()
-				if cycle[n%len(cycle)] {
-					if err := c.MC.Set(key, w.Value(), 0, 0); err != nil {
-						results <- result{err: err}
-						return
-					}
-				} else if _, _, _, err := c.MC.Get(key); err != nil {
-					results <- result{err: err}
-					return
-				}
-			}
-			results <- result{end: c.Clock.Now()}
-		}(i, c)
-	}
-	var makespan simnet.Duration
-	for range clients {
-		r := <-results
-		if r.err != nil {
-			return 0, r.err
+	makespan, err := roundRobin(clients, cfg, size, func(c *cluster.Client, w *Workload, n int) error {
+		key := w.Key()
+		if cycle[n%len(cycle)] {
+			return c.MC.Set(key, w.Value(), 0, 0)
 		}
-		if d := r.end - start; d > makespan {
-			makespan = d
-		}
+		_, _, _, err := c.MC.Get(key)
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
-	totalOps := float64(nClients * opsPerClient)
+	totalOps := float64(nClients * cfg.OpsPerPoint)
 	return totalOps / makespan.Seconds(), nil
 }
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/mcclient"
 	"repro/internal/memcached"
@@ -56,20 +55,6 @@ type Options struct {
 	// worker (default 4× the credit window; only meaningful with
 	// UseSRQ). Small values force RNR backpressure under bursts.
 	SRQBuffers int
-	// UDGets arms the hybrid UD small-get mode on every reliable UCR
-	// client: alongside the RC endpoint, the client dials an unreliable
-	// datagram endpoint and serves GET/MGET requests that fit one
-	// datagram over it, with client-side retransmission covering losses
-	// and an AMTooBig/AMMGetRetry reply punting oversized values back to
-	// RC. Mutating ops always stay on RC.
-	UDGets bool
-	// SessionsPerQP concentrates that many client sessions onto one RC
-	// queue pair: UCR clients are grouped so each group shares a single
-	// trunk endpoint (one QP, one progress context) with per-session
-	// request tags demultiplexing the replies. Values ≤ 1 keep one QP
-	// per client. Concentrated sessions use the plain two-sided RC path
-	// (no one-sided or UD fast paths).
-	SessionsPerQP int
 	// OneSidedGet arms the one-sided GET data path: every server
 	// publishes its remotely-readable directory and every reliable UCR
 	// client serves validated GET hits with RDMA reads, falling back to
@@ -84,8 +69,7 @@ type Options struct {
 	// with a payload-free notify AM. Small values, oversize-vs-window,
 	// UD endpoints, and exhausted arenas all fall back to the ordinary
 	// eager/rendezvous ladder. Strictly opt-in so the depth-1 golden
-	// figure tables stay bit-identical. Concentrated (SessionsPerQP)
-	// clients skip it, like the other fast paths.
+	// figure tables stay bit-identical.
 	WriteReplies bool
 	// WriteReplyEager is the write-reply crossover in bytes (reply
 	// header included): totals at or below it keep the eager copy path
@@ -167,7 +151,6 @@ type Deployment struct {
 
 	providers map[Transport]*sockstream.Provider
 	clients   int
-	trunks    []*trunk
 
 	// mu guards the server slices and client counter for runtime
 	// membership changes (Fleet.Join adds servers mid-traffic while
@@ -175,17 +158,6 @@ type Deployment struct {
 	// the fixed Options.Servers count set at New time).
 	mu     sync.Mutex
 	ucrCfg ucr.Config
-}
-
-// trunk is one connection-concentrator queue-pair group
-// (Options.SessionsPerQP): a node with a single RC endpoint per server,
-// shared by up to k logical sessions.
-type trunk struct {
-	node  *simnet.Node
-	rt    *ucr.Runtime
-	ctx   *ucr.Context
-	muxes []*mcclient.SessionMux // one per server
-	used  int                    // sessions handed out
 }
 
 // New builds a deployment on the given profile.
@@ -338,9 +310,6 @@ func (d *Deployment) newClient(t Transport, behaviors mcclient.Behaviors, unreli
 	if !d.Profile.HasTransport(t) {
 		return nil, fmt.Errorf("cluster %s has no %s", d.Profile.Name, t)
 	}
-	if t == UCRIB && !unreliable && d.Opts.SessionsPerQP > 1 {
-		return d.newMuxClient(behaviors)
-	}
 	d.clients++
 	node := d.Network.AddNode(fmt.Sprintf("client%d", d.clients))
 	clk := simnet.NewVClock(0)
@@ -374,15 +343,6 @@ func (d *Deployment) newClient(t Transport, behaviors mcclient.Behaviors, unreli
 					}
 				}
 			}
-			if d.Opts.UDGets && !unreliable {
-				if ut, ok := tr.(*mcclient.UCRTransport); ok {
-					udep, err := c.rt.Dial(c.ctx, srvNode, ucrServiceFor(i), ucr.Unreliable, clk, 5*time.Second)
-					if err != nil {
-						return nil, err
-					}
-					ut.EnableUD(udep)
-				}
-			}
 			trs = append(trs, tr)
 		}
 	} else {
@@ -411,46 +371,6 @@ func (d *Deployment) newClient(t Transport, behaviors mcclient.Behaviors, unreli
 	return c, nil
 }
 
-// newMuxClient hands out one concentrated session (Options.SessionsPerQP):
-// the first client of each group dials the trunk — one node, one RC QP
-// per server — and the next k-1 clients ride the same QPs as tagged
-// sessions. Each session client still gets its own virtual clock.
-func (d *Deployment) newMuxClient(behaviors mcclient.Behaviors) (*Client, error) {
-	k := d.Opts.SessionsPerQP
-	d.clients++
-	clk := simnet.NewVClock(0)
-	var tr *trunk
-	if n := len(d.trunks); n > 0 && d.trunks[n-1].used < k {
-		tr = d.trunks[n-1]
-	} else {
-		node := d.Network.AddNode(fmt.Sprintf("client%d", d.clients))
-		hca := verbs.NewHCA(node, d.IB, d.Profile.HCA)
-		rt := ucr.New(hca, d.CM, d.clientUCRConfig())
-		ctx := rt.NewContext()
-		tr = &trunk{node: node, rt: rt, ctx: ctx}
-		for i, srvNode := range d.ServerNodes {
-			ut, err := mcclient.DialUCR(rt, ctx, srvNode, ucrServiceFor(i), behaviors, clk)
-			if err != nil {
-				return nil, err
-			}
-			tr.muxes = append(tr.muxes, mcclient.NewSessionMux(ut, k))
-		}
-		d.trunks = append(d.trunks, tr)
-	}
-	c := &Client{Node: tr.node, Clock: clk, Transport: UCRIB}
-	trs := make([]mcclient.Transport, 0, len(tr.muxes))
-	for _, m := range tr.muxes {
-		trs = append(trs, m.Session(tr.used))
-	}
-	tr.used++
-	var err error
-	c.MC, err = mcclient.New(clk, behaviors, trs)
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // clientUCRConfig is the UCR config client endpoints dial with: the
 // profile's, with the deployment's eager-threshold and credit overrides
 // but without the server-side SRQ knobs.
@@ -464,14 +384,6 @@ func (d *Deployment) clientUCRConfig() ucr.Config {
 	}
 	return cfg
 }
-
-// Trunks reports the concentrator QP-group count (0 unless
-// Options.SessionsPerQP > 1) — the number of RC QPs actually dialed for
-// however many session clients exist.
-func (d *Deployment) Trunks() int { return len(d.trunks) }
-
-// TrunkMuxes exposes the i'th trunk's per-server session muxes (tests).
-func (d *Deployment) TrunkMuxes(i int) []*mcclient.SessionMux { return d.trunks[i].muxes }
 
 // FaultStats sums delivery verdicts across every fabric's injector.
 func (d *Deployment) FaultStats() (delivered, dropped, corrupted uint64) {
@@ -501,16 +413,8 @@ func (c *Client) Close() {
 	}
 }
 
-// Close stops every server and tears down any concentrator trunks
-// (session clients must be quiescent by then).
+// Close stops every server.
 func (d *Deployment) Close() {
-	for _, tr := range d.trunks {
-		for _, m := range tr.muxes {
-			m.Close()
-		}
-		tr.ctx.Destroy()
-	}
-	d.trunks = nil
 	for _, srv := range d.Servers {
 		srv.Close()
 	}

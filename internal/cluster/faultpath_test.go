@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/mcclient"
@@ -131,153 +129,5 @@ func TestServerCloseMidBurst(t *testing.T) {
 	}
 	if err := c.MC.Set("after", []byte("y"), 0, 0); !errors.Is(err, mcclient.ErrServerDown) {
 		t.Fatalf("post-close set err = %v, want ErrServerDown", err)
-	}
-}
-
-// TestUDPartitionRetransmission: a dropped UD datagram is recovered by
-// the client-side retransmission timer; a partition spanning the whole
-// retransmission window surfaces as a clean ErrServerDown (no hang),
-// and after healing the data is still there for a fresh client.
-func TestUDPartitionRetransmission(t *testing.T) {
-	d := New(ClusterB(), Options{UDGets: true, Faults: LossyFaults(0, 7)})
-	defer d.Close()
-
-	b := mcclient.DefaultBehaviors()
-	b.OpTimeout = 4 * simnet.Millisecond
-	c, err := d.NewClient(UCRIB, b)
-	if err != nil {
-		t.Fatalf("NewClient: %v", err)
-	}
-	defer c.Close()
-
-	want := []byte("survives-the-partition")
-	if err := c.MC.Set("k", want, 0, 0); err != nil {
-		t.Fatalf("set: %v", err)
-	}
-
-	if len(d.Injectors) == 0 {
-		t.Fatal("no fault injector installed")
-	}
-	fi := d.Injectors[0] // the IB fabric's injector
-
-	// One lost datagram: the get request vanishes, the per-attempt
-	// deadline fires, the retransmission succeeds.
-	fi.DropNext(c.Node, d.ServerNode, 1)
-	v, _, _, err := c.MC.Get("k")
-	if err != nil || !bytes.Equal(v, want) {
-		t.Fatalf("get through one drop = (%q, %v)", v, err)
-	}
-	ut := clientUCRTransport(t, c)
-	_, retx, _ := ut.UDStats()
-	if retx == 0 {
-		t.Fatal("dropped UD request did not trigger a retransmission")
-	}
-
-	// Partition across the whole retransmission window: every attempt
-	// is swallowed; the op must fail cleanly rather than hang.
-	fi.Partition(c.Node, d.ServerNode)
-	if _, _, _, err := c.MC.Get("k"); !errors.Is(err, mcclient.ErrServerDown) {
-		t.Fatalf("partitioned get err = %v, want ErrServerDown", err)
-	}
-	_, retx2, _ := ut.UDStats()
-	if retx2 <= retx {
-		t.Fatalf("no retransmissions attempted into the partition (%d -> %d)", retx, retx2)
-	}
-	fi.Heal(c.Node, d.ServerNode)
-
-	// The server kept the item; a fresh client reads it post-heal.
-	c2, err := d.NewClient(UCRIB, b)
-	if err != nil {
-		t.Fatalf("post-heal NewClient: %v", err)
-	}
-	defer c2.Close()
-	v, _, _, err = c2.MC.Get("k")
-	if err != nil || !bytes.Equal(v, want) {
-		t.Fatalf("post-heal get = (%q, %v)", v, err)
-	}
-}
-
-// TestConcentratorRaceStress drives every session of two shared RC
-// trunks from its own goroutine with a mixed workload (run it with
-// -race). Each session must observe its own writes in order — the
-// concentrator serializes the shared QP but may never cross-deliver a
-// sibling's reply.
-func TestConcentratorRaceStress(t *testing.T) {
-	const k = 4
-	d := New(ClusterB(), Options{SessionsPerQP: k})
-	defer d.Close()
-
-	var clients []*Client
-	for i := 0; i < 2*k; i++ {
-		c, err := d.NewClient(UCRIB, mcclient.DefaultBehaviors())
-		if err != nil {
-			t.Fatalf("NewClient %d: %v", i, err)
-		}
-		clients = append(clients, c)
-	}
-	if d.Trunks() != 2 {
-		t.Fatalf("Trunks() = %d, want 2", d.Trunks())
-	}
-
-	var wg sync.WaitGroup
-	for i, c := range clients {
-		wg.Add(1)
-		go func(sess int, c *Client) {
-			defer wg.Done()
-			last := map[string][]byte{}
-			for j := 0; j < 60; j++ {
-				key := fmt.Sprintf("s%d-k%d", sess, j%5)
-				switch j % 6 {
-				case 0, 1, 3:
-					val := []byte(fmt.Sprintf("sess%d-op%d", sess, j))
-					if err := c.MC.Set(key, val, uint32(sess), 0); err != nil {
-						t.Errorf("session %d set %s: %v", sess, key, err)
-						return
-					}
-					last[key] = val
-				case 2:
-					v, fl, _, err := c.MC.Get(key)
-					wantV, wrote := last[key]
-					if !wrote {
-						if err != mcclient.ErrCacheMiss {
-							t.Errorf("session %d get %s (never written) = %v", sess, key, err)
-							return
-						}
-						continue
-					}
-					if err != nil || !bytes.Equal(v, wantV) || fl != uint32(sess) {
-						t.Errorf("session %d get %s = (%q, fl=%d, %v), want (%q, fl=%d) — FIFO broken or cross-delivery",
-							sess, key, v, fl, err, wantV, sess)
-						return
-					}
-				case 4:
-					keys := []string{
-						fmt.Sprintf("s%d-k0", sess),
-						fmt.Sprintf("s%d-k1", sess),
-					}
-					got, err := c.MC.GetMulti(keys)
-					if err != nil {
-						t.Errorf("session %d mget: %v", sess, err)
-						return
-					}
-					for _, kk := range keys {
-						if wantV, wrote := last[kk]; wrote && !bytes.Equal(got[kk], wantV) {
-							t.Errorf("session %d mget[%s] = %q, want %q", sess, kk, got[kk], wantV)
-							return
-						}
-					}
-				case 5:
-					if err := c.MC.Delete(key); err != nil && err != mcclient.ErrCacheMiss {
-						t.Errorf("session %d delete %s: %v", sess, key, err)
-						return
-					}
-					delete(last, key)
-				}
-			}
-		}(i, c)
-	}
-	wg.Wait()
-	for _, c := range clients {
-		c.Close()
 	}
 }

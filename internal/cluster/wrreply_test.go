@@ -240,3 +240,14 @@ func TestWriteRepliesServerCloseMidBurst(t *testing.T) {
 		t.Fatalf("post-close get err = %v, want ErrServerDown", err)
 	}
 }
+
+// clientUCRTransport digs the first server's UCRTransport out of a
+// client handle.
+func clientUCRTransport(t *testing.T, c *Client) *mcclient.UCRTransport {
+	t.Helper()
+	ut, ok := c.MC.Transport(0).(*mcclient.UCRTransport)
+	if !ok {
+		t.Fatalf("transport is %T, not *UCRTransport", c.MC.Transport(0))
+	}
+	return ut
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/mcclient"
@@ -94,6 +95,33 @@ func TestSystemUDClient(t *testing.T) {
 	// UD cannot carry values beyond one MTU.
 	if err := c.MC.Set("big", make([]byte, 64*1024), 0, 0); err == nil {
 		t.Fatal("oversized UD set should fail")
+	}
+	// Nor read them back: a value an RC client stored is a server error
+	// on every UD get path, never a miss.
+	rc, err := sys.AddClient("UCR-IB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.MC.Set("big", make([]byte, 64*1024), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := c.MC.Get("big"); !errors.Is(err, mcclient.ErrServerError) {
+		t.Fatalf("UD get of oversized value: err = %v, want ErrServerError", err)
+	}
+	if m, err := c.MC.GetMulti([]string{"big"}); !errors.Is(err, mcclient.ErrServerError) {
+		t.Fatalf("UD mget of oversized value = (%d items, %v), want ErrServerError", len(m), err)
+	}
+	pl := c.MC.Transport(0).(mcclient.Pipeliner).Pipeline(2)
+	f := pl.StartGet(c.Clock, "big")
+	if _, _, _, _, err := f.Wait(c.Clock); !errors.Is(err, mcclient.ErrServerError) {
+		t.Fatalf("UD pipelined get of oversized value: err = %v, want ErrServerError", err)
+	}
+	if err := pl.Wait(c.Clock); err != nil {
+		t.Fatalf("pipeline wait: %v", err)
+	}
+	// The server stays in the pool.
+	if v, _, _, err := c.MC.Get("dg"); err != nil || string(v) != "datagram" {
+		t.Fatalf("UD get after oversized reads = (%q, %v)", v, err)
 	}
 }
 

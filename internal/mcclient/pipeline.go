@@ -175,7 +175,7 @@ func (p *ucrPipeline) Flush(clk *simnet.VClock) error {
 	var sendErr error
 	for _, e := range p.pend {
 		if sendErr == nil {
-			sendErr = e.op.sendAM()
+			sendErr = t.sendAM(e.op)
 		}
 		if sendErr != nil {
 			e.failed = true
@@ -304,6 +304,9 @@ func (p *ucrPipeline) startGet(clk *simnet.VClock, key string, lend []byte) *Get
 		}
 		if op.get.Status != memcached.AMOK {
 			f.done = true
+			if op.get.Status == memcached.AMTooBig {
+				f.err = errTooBig
+			}
 			return
 		}
 		f.hit = true

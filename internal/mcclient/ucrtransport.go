@@ -1,12 +1,19 @@
 package mcclient
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/memcached"
 	"repro/internal/simnet"
 	"repro/internal/ucr"
 )
+
+// errTooBig reports a get that a UD endpoint cannot answer: the value
+// (or an mget's aggregate reply) exceeds one datagram, and the server
+// punted with AMTooBig or AMMGetRetry. It is a server-side failure, not
+// a miss, and it does not eject the server.
+var errTooBig = fmt.Errorf("%w: value exceeds one datagram", ErrServerError)
 
 // UCRTransport speaks the paper's active-message protocol (§V): every
 // request is AM 1 carrying the client's counter C; the client then
@@ -30,18 +37,6 @@ type UCRTransport struct {
 	timeout simnet.Duration
 	noReply bool
 
-	// UD small-get mode (§VII): an optional unreliable endpoint to the
-	// same server. GET/MGET requests whose request and reply both fit one
-	// datagram ride it; a lost datagram is recovered by the same AM-level
-	// retransmission budget the RC path uses for lossy fabrics, and a
-	// too-large reply comes back as a status-only AMTooBig/AMMGetRetry
-	// that re-issues the op over the RC endpoint. Mutating ops never use
-	// it.
-	udEP          *ucr.Endpoint
-	udGets        uint64 // requests issued on the UD endpoint
-	udRetransmits uint64 // AM-level re-sends on the UD endpoint
-	udFallbacks   uint64 // UD replies that punted the op back to RC
-
 	// Tagged reply slots, written by the AM handlers while this
 	// transport's owner drives progress.
 	slots    map[ucr.CounterID]*amOp
@@ -57,28 +52,27 @@ type UCRTransport struct {
 	wr wrState
 }
 
-// amOp is one in-flight request: its tag (= reply counter id), the
-// endpoint it rides, where the reply landed, and how to (re-)send it.
+// amOp is one in-flight request: its tag (= reply counter id), where
+// the reply landed, and how to (re-)send it.
 type amOp struct {
 	tag    ucr.CounterID
 	ctr    *ucr.Counter
-	ep     *ucr.Endpoint // endpoint the request (and any re-send) uses
-	lend   []byte        // caller-lent value buffer (GetInto); nil = pool
-	pooled bool          // data came from the transport pool: recycle on finish
-	wrSlot int32         // write-reply slot index + 1; 0 = none
+	lend   []byte // caller-lent value buffer (GetInto); nil = pool
+	pooled bool   // data came from the transport pool: recycle on finish
+	wrSlot int32  // write-reply slot index + 1; 0 = none
 	// Deferred write-reply landing: the notify recorded wrPendLen slot
 	// bytes pending copy-out (see wrMaterialize/wrTake). The slot stays
 	// busy until the landing materializes and the op is finished.
 	wrPend    bool
 	wrPendLen int
-	data   []byte        // landed value bytes
-	tooBig bool          // UD reply punted: value exceeds one datagram
-	status memcached.StatusReply
-	get    memcached.GetReply
-	mget   memcached.MGetReply
-	num    memcached.NumReply
-	osd    memcached.OSDescReply
-	send   func() error // exotic issue paths; nil = field-driven sendAM
+	data      []byte // landed value bytes
+	tooBig    bool   // AMMGetRetry: the mget reply exceeds one datagram
+	status    memcached.StatusReply
+	get       memcached.GetReply
+	mget      memcached.MGetReply
+	num       memcached.NumReply
+	osd       memcached.OSDescReply
+	send      func() error // exotic issue paths; nil = field-driven sendAM
 	// Field-driven send for the hot GET/SET paths: a closure per op
 	// would allocate, so the blocking fast paths park the arguments on
 	// the (pooled) op instead and sendAM replays them. hdrBuf is the
@@ -90,13 +84,13 @@ type amOp struct {
 	hdrBuf  []byte
 }
 
-// sendAM issues the op: the closure when one was installed, otherwise
-// the field-driven form (endpoint, message id, header, value).
-func (op *amOp) sendAM() error {
+// sendAM issues op: the closure when one was installed, otherwise the
+// field-driven form (message id, header, value).
+func (t *UCRTransport) sendAM(op *amOp) error {
 	if op.send != nil {
 		return op.send()
 	}
-	return op.ep.Send(op.sendClk, op.sendMsg, op.sendHdr, op.sendVal, nil, 0, nil)
+	return t.ep.Send(op.sendClk, op.sendMsg, op.sendHdr, op.sendVal, nil, 0, nil)
 }
 
 // DialUCR establishes a reliable UCR endpoint to a memcached server and
@@ -169,7 +163,7 @@ func RegisterClientHandlers(rt *ucr.Runtime) {
 				// means the whole completion event lands on the victim:
 				// payload AND counter fire, so the victim's waiter
 				// returns this stale reply as its own.
-				if v := t.dupVictim(ep); v != nil {
+				if v := t.dupVictim(); v != nil {
 					v.get, _ = memcached.DecodeGetReply(hdr)
 					v.data = data
 					v.ctr.MutBump()
@@ -249,7 +243,7 @@ func (t *UCRTransport) landingBuf(tag ucr.CounterID, dataLen int) []byte {
 	}
 	op := t.slots[tag]
 	if op == nil {
-		if v := t.dupVictim(t.udEP); v != nil {
+		if v := t.dupVictim(); v != nil {
 			op = v // mutation build: clobber a live slot (see dupVictim)
 		} else {
 			return t.scratchFor(dataLen)
@@ -265,14 +259,14 @@ func (t *UCRTransport) landingBuf(tag ucr.CounterID, dataLen int) []byte {
 	return op.data
 }
 
-// dupVictim is the mut_ud_dup_ack seeded bug: instead of suppressing a
-// reply whose tag matches no slot (a late duplicate from a retransmitted
-// UD request whose original answer also arrived), it "accepts it twice"
-// by routing it into whichever live slot has the lowest tag — exactly
-// the clobbering the tagged-counter scheme prevents. Always nil in a
-// normal build; only meaningful when a UD endpoint exists (ep non-nil).
-func (t *UCRTransport) dupVictim(ep *ucr.Endpoint) *amOp {
-	if !memcached.MutUDDupAck || ep == nil {
+// dupVictim is the mut_dup_ack seeded bug: instead of suppressing a
+// reply whose tag matches no slot (a late duplicate from a re-sent
+// request whose original answer also arrived), it "accepts it twice" by
+// routing it into whichever live slot has the lowest tag — exactly the
+// clobbering the tagged-counter scheme prevents. Always nil in a normal
+// build.
+func (t *UCRTransport) dupVictim() *amOp {
+	if !memcached.MutDupAck {
 		return nil
 	}
 	var victim *amOp
@@ -331,7 +325,6 @@ func (t *UCRTransport) newOp() *amOp {
 	}
 	op.ctr = t.rt.NewCounter()
 	op.tag = op.ctr.ID()
-	op.ep = t.ep
 	t.slots[op.tag] = op
 	return op
 }
@@ -363,25 +356,6 @@ func (t *UCRTransport) Name() string { return t.name }
 // Endpoint exposes the UCR endpoint (tests).
 func (t *UCRTransport) Endpoint() *ucr.Endpoint { return t.ep }
 
-// EnableUD arms the UD small-get mode with an unreliable endpoint to the
-// same server, dialed in the same progress context (one CQ drives both).
-// GETs and MGETs whose request fits a datagram ride it from now on.
-func (t *UCRTransport) EnableUD(ep *ucr.Endpoint) {
-	ep.UserData = t
-	t.udEP = ep
-}
-
-// UDEndpoint exposes the UD endpoint, nil unless EnableUD was called.
-func (t *UCRTransport) UDEndpoint() *ucr.Endpoint { return t.udEP }
-
-// UDStats reports the UD small-get path's counters: requests issued on
-// the UD endpoint, AM-level retransmissions on it, and replies that
-// punted the op back to RC (AMTooBig / AMMGetRetry). Tests use gets and
-// retransmits as vacuity guards for the UD datapath.
-func (t *UCRTransport) UDStats() (gets, retransmits, fallbacks uint64) {
-	return t.udGets, t.udRetransmits, t.udFallbacks
-}
-
 // do sends op and blocks on its counter (§V-B: "a blocking call with
 // client specified timeout"). With the runtime's AMRetries knob set, a
 // timed-out request is re-sent — the per-attempt wait is the op timeout
@@ -394,13 +368,7 @@ func (t *UCRTransport) do(clk *simnet.VClock, op *amOp) error {
 	attempts := 1 + t.rt.Config().AMRetries
 	per := t.perAttempt(attempts)
 	for a := 0; a < attempts; a++ {
-		if a > 0 && op.ep == t.udEP {
-			// Client-side UD retransmission: datagram loss is silent, so
-			// the timed-out request is simply re-offered (the tag routes
-			// the reply; a late duplicate lands in scratch).
-			t.udRetransmits++
-		}
-		if err := op.sendAM(); err != nil {
+		if err := t.sendAM(op); err != nil {
 			t.finishOp(op)
 			return ErrServerDown
 		}
@@ -413,9 +381,8 @@ func (t *UCRTransport) do(clk *simnet.VClock, op *amOp) error {
 			return ErrServerDown
 		}
 	}
-	ep := op.ep
 	t.finishOp(op)
-	ep.MarkFailed()
+	t.ep.MarkFailed()
 	return ErrServerDown
 }
 
@@ -439,7 +406,7 @@ func (t *UCRTransport) waitDone(clk *simnet.VClock, op *amOp, batch int) error {
 	if op.ctr.Value() >= 1 {
 		return nil
 	}
-	if op.ep.Failed() {
+	if t.ep.Failed() {
 		return ErrServerDown
 	}
 	attempts := 1 + t.rt.Config().AMRetries
@@ -453,15 +420,12 @@ func (t *UCRTransport) waitDone(clk *simnet.VClock, op *amOp, batch int) error {
 			return ErrServerDown
 		}
 		if a+1 < attempts {
-			if op.ep == t.udEP && t.udEP != nil {
-				t.udRetransmits++
-			}
-			if serr := op.sendAM(); serr != nil {
+			if serr := t.sendAM(op); serr != nil {
 				return ErrServerDown
 			}
 		}
 	}
-	op.ep.MarkFailed()
+	t.ep.MarkFailed()
 	return ErrServerDown
 }
 
@@ -504,36 +468,8 @@ func (t *UCRTransport) Set(clk *simnet.VClock, key string, flags uint32, exptime
 }
 
 // getOp issues one get request and blocks for its reply; the caller
-// reads the slot and retires it. With UD small-get mode armed, the
-// request rides the unreliable endpoint first and transparently
-// re-issues over RC when the server answers AMTooBig (value exceeds one
-// datagram) or the UD endpoint has been isolated.
+// reads the slot and retires it.
 func (t *UCRTransport) getOp(clk *simnet.VClock, key string, lend []byte) (*amOp, error) {
-	if t.udEP != nil && !t.udEP.Failed() {
-		op := t.newOp()
-		op.lend = lend
-		op.ep = t.udEP
-		op.hdrBuf = memcached.AppendKeyReq(op.hdrBuf[:0], memcached.KeyReq{ReplyCtr: op.tag, Key: key})
-		if len(op.hdrBuf) <= t.udEP.MaxEager() {
-			op.sendMsg = memcached.AMGet
-			op.sendHdr = op.hdrBuf
-			op.sendClk = clk
-			t.udGets++
-			err := t.do(clk, op)
-			if err == nil && op.get.Status != memcached.AMTooBig {
-				return op, nil
-			}
-			if err == nil {
-				// Server punted: the value outgrew the datagram.
-				t.udFallbacks++
-				t.finishOp(op)
-			}
-			// A hard UD failure (retry budget exhausted) isolates only the
-			// UD endpoint; the RC path below still serves the op.
-		} else {
-			t.finishOp(op)
-		}
-	}
 	op := t.newOp()
 	op.lend = lend
 	if i, ok := t.wrAcquire(); ok {
@@ -554,6 +490,10 @@ func (t *UCRTransport) getOp(clk *simnet.VClock, key string, lend []byte) (*amOp
 	// A blocking caller reads op.data next: land any deferred write
 	// reply now (no later wait to hide the copy under).
 	t.wrMaterialize(clk, op)
+	if op.get.Status == memcached.AMTooBig {
+		t.finishOp(op)
+		return nil, errTooBig
+	}
 	return op, nil
 }
 
@@ -606,30 +546,11 @@ func (t *UCRTransport) GetInto(clk *simnet.VClock, key string, buf []byte) ([]by
 // uint16 key-count field.
 const maxMGetKeys = 4096
 
-// mgetOp issues one multi-get AM and blocks for its reply. Under UD
-// small-get mode a batch whose request fits one datagram is tried there
-// first; an AMMGetRetry answer (aggregate reply too large) re-issues the
-// whole batch over RC.
+// mgetOp issues one multi-get AM and blocks for its reply. A UD
+// endpoint answers a batch whose aggregate reply outgrows one datagram
+// with the AMMGetRetry marker; that op is retired here and reported as
+// errTooBig.
 func (t *UCRTransport) mgetOp(clk *simnet.VClock, keys []string, lend []byte) (*amOp, error) {
-	hdr := memcached.EncodeMGetReq(memcached.MGetReq{ReplyCtr: 0, Keys: keys})
-	if t.udEP != nil && !t.udEP.Failed() && len(hdr) <= t.udEP.MaxEager() {
-		op := t.newOp()
-		op.lend = lend
-		op.ep = t.udEP
-		udHdr := memcached.EncodeMGetReq(memcached.MGetReq{ReplyCtr: op.tag, Keys: keys})
-		op.send = func() error {
-			return t.udEP.Send(clk, memcached.AMMGet, udHdr, nil, nil, 0, nil)
-		}
-		t.udGets++
-		err := t.do(clk, op)
-		if err == nil && !op.tooBig {
-			return op, nil
-		}
-		if err == nil {
-			t.udFallbacks++
-			t.finishOp(op)
-		}
-	}
 	op := t.newOp()
 	op.lend = lend
 	if i, ok := t.wrAcquire(); ok {
@@ -646,6 +567,10 @@ func (t *UCRTransport) mgetOp(clk *simnet.VClock, keys []string, lend []byte) (*
 	}
 	if err := t.do(clk, op); err != nil {
 		return nil, err
+	}
+	if op.tooBig {
+		t.finishOp(op)
+		return nil, errTooBig
 	}
 	return op, nil
 }

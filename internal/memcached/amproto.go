@@ -33,8 +33,8 @@ const (
 	AMBadValue uint8 = 3
 	// AMTooBig answers a GET that arrived on an unreliable (UD) endpoint
 	// whose value does not fit one datagram: the reply carries the status
-	// only and the client re-issues the request over its RC endpoint.
-	// Never sent on reliable endpoints (those use eager or rendezvous).
+	// only and the client reports a server error. Never sent on reliable
+	// endpoints (those use eager or rendezvous).
 	AMTooBig uint8 = 4
 )
 

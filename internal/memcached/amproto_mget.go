@@ -18,7 +18,7 @@ const (
 	// AMMGetRetry answers a multi-get that arrived on an unreliable (UD)
 	// endpoint whose aggregate reply does not fit one datagram. The reply
 	// carries no payload (MGetReply has no status field and its wire
-	// format is frozen); the client re-issues the batch over RC.
+	// format is frozen); the client reports a server error.
 	AMMGetRetry uint8 = 0x26
 )
 

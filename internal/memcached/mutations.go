@@ -36,13 +36,14 @@ var (
 	// slot contents as the value — the stale-slot bug class the
 	// per-request window advertisement prevents.
 	mutWrReplyStale bool
-	// MutUDDupAck: the client transport keeps a retired reply slot live,
-	// so a late duplicate UD reply (from a retransmitted request whose
-	// original answer also arrived) is accepted twice instead of landing
-	// in scratch — the dup-suppression bug class of the tagged-counter
-	// scheme. Exported because the switch is consulted by the mcclient
-	// package, which imports this one; the mutation registry stays here.
-	MutUDDupAck bool
+	// MutDupAck: the client transport keeps a retired reply slot live,
+	// so a late duplicate reply (from a timed-out request that was re-sent
+	// after its original answer was already on the way) is accepted twice
+	// instead of landing in scratch — the dup-suppression bug class of
+	// the tagged-counter scheme. Exported because the switch is consulted
+	// by the mcclient package, which imports this one; the mutation
+	// registry stays here.
+	MutDupAck bool
 
 	activeMutations []string
 )

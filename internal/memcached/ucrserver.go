@@ -239,9 +239,9 @@ func (s *Server) amGetComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data [
 		return
 	}
 	if ep.Reliability() == ucr.Unreliable {
-		// UD small-get mode: a value that outgrows the datagram cannot
-		// ride this endpoint (no rendezvous on UD) — tell the client to
-		// re-issue over its RC endpoint rather than failing the op.
+		// A value that outgrows the datagram cannot ride a UD endpoint
+		// (no rendezvous on UD): answer with the status only, and the
+		// client reports a server error rather than a miss.
 		s.store.Unpin(it)
 		w.reply = AppendGetReply(w.reply[:0], GetReply{Status: AMTooBig})
 		_ = ep.Send(clk, AMGetReply, w.reply, nil, nil, req.ReplyCtr, nil)
@@ -300,9 +300,8 @@ func (s *Server) amMGetComplete(clk *simnet.VClock, ep *ucr.Endpoint, hdr, data 
 		w.mgetItems = items[:0]
 	}
 	if ep.Reliability() == ucr.Unreliable && len(w.reply)+total > ep.MaxEager() {
-		// UD small-get mode: the batch outgrew the datagram. Release the
-		// pins and send the payload-free retry marker; the client
-		// re-issues the whole batch over RC.
+		// The batch outgrew the datagram. Release the pins and send the
+		// payload-free marker; the client reports a server error.
 		release()
 		_ = ep.Send(clk, AMMGetRetry, nil, nil, nil, replyCtr, nil)
 		return

@@ -40,12 +40,6 @@ type Config struct {
 	// endpoints by QPN. Result.SRQDemux counts those demux decisions —
 	// a run that never demuxed validated nothing.
 	SRQ bool
-	// UD arms the hybrid UD small-get mode (UCR transport only):
-	// clients dial an unreliable datagram endpoint beside RC and serve
-	// datagram-sized GET/MGETs over it, with client-side retransmission
-	// recovering losses. Result.UDGets / UDRetransmits count the
-	// traffic for vacuity checks.
-	UD bool
 	// WriteReplies arms the write-based reply path (UCR transport
 	// only): clients advertise registered reply windows with each GET/
 	// MGET and servers answer crossover-sized hits by RDMA-writing the
@@ -66,14 +60,12 @@ type Observation struct {
 
 // runOutcome is everything one execution produced: the server's
 // transition history (sorted by Seq — the linearization order), the
-// clients' observations, and the datapath counters the srq/ud vacuity
-// guards check.
+// clients' observations, and the datapath counters the vacuity guards
+// check.
 type runOutcome struct {
 	Records       []*memcached.OpRecord
 	Obs           []Observation
 	SRQDemux      uint64
-	UDGets        uint64
-	UDRetransmits uint64
 	BatchedDrains uint64
 	WriteReplies  uint64
 }
@@ -104,9 +96,6 @@ func execute(sc Script, cfg Config) (*runOutcome, error) {
 	if cfg.SRQ {
 		opts.UseSRQ = true
 	}
-	if cfg.UD {
-		opts.UDGets = true
-	}
 	if cfg.WriteReplies {
 		opts.WriteReplies = true
 		opts.WriteReplyEager = 64
@@ -122,12 +111,10 @@ func execute(sc Script, cfg Config) (*runOutcome, error) {
 			// UCR is unreliable datagram-style at the AM layer: lost
 			// packets need a client-side timeout to trigger the retry.
 			// Socket transports model reliable streams and retransmit
-			// below the client. Clean runs leave the timeout unset even
-			// in UD mode — flow-control credits mean a lossless fabric
-			// drops no datagrams, and worker clocks running ahead of a
-			// client's would turn the virtual deadline into spurious
-			// failures. UD retransmission is therefore only exercised
-			// (and only vacuity-checked) under Faults.
+			// below the client. Clean runs leave the timeout unset: a
+			// lossless fabric drops nothing, and worker clocks running
+			// ahead of a client's would turn the virtual deadline into
+			// spurious failures.
 			b.OpTimeout = 4 * simnet.Millisecond
 		}
 	}
@@ -162,18 +149,9 @@ func execute(sc Script, cfg Config) (*runOutcome, error) {
 	}
 	x.epilogue(sc)
 
-	// Snapshot the client-side UD counters before teardown, then close:
-	// lossy retries can leave duplicated requests still draining through
-	// the server; Close joins the workers, so afterwards the history is
-	// complete.
-	var udGets, udRetx uint64
-	for _, cl := range x.clients {
-		if ut, ok := cl.MC.Transport(0).(*mcclient.UCRTransport); ok {
-			g, r, _ := ut.UDStats()
-			udGets += g
-			udRetx += r
-		}
-	}
+	// Close before reading the history: lossy retries can leave
+	// duplicated requests still draining through the server; Close joins
+	// the workers, so afterwards the history is complete.
 	for _, cl := range x.clients {
 		cl.Close()
 	}
@@ -185,7 +163,7 @@ func execute(sc Script, cfg Config) (*runOutcome, error) {
 	sortRecords(recs)
 	return &runOutcome{
 		Records: recs, Obs: x.obs,
-		SRQDemux: d.Server.UCRSRQDemux(), UDGets: udGets, UDRetransmits: udRetx,
+		SRQDemux:      d.Server.UCRSRQDemux(),
 		BatchedDrains: d.Server.UCRBatchedDrains(),
 		WriteReplies:  d.Server.UCRWriteReplies(),
 	}, nil

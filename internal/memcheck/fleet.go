@@ -98,7 +98,7 @@ type fleetModel struct {
 	lossy    bool
 	replicas int
 	ring     *ring.Ring
-	exact    map[string]map[string]fleetVal       // clean: server → key → value
+	exact    map[string]map[string]fleetVal          // clean: server → key → value
 	cand     map[string]map[string]map[fleetVal]bool // lossy: server → key → candidates
 }
 

@@ -19,15 +19,13 @@ type Result struct {
 	Shrunk    *Script
 	Report    string
 
-	// Datapath counters for the srq/ud vacuity guards: SRQ demux
-	// decisions on the server, and requests/retransmissions on the
-	// clients' UD endpoints. BatchedDrains guards the batch-scheduled
-	// serving loop the same way: a UCR sweep with pipelined bursts
-	// where no worker ever harvested ≥2 completions in one drain was
-	// exercising the old request-at-a-time loop, not the batched one.
+	// Datapath counters for the vacuity guards: SRQ demux decisions on
+	// the server, for the srq sweeps. BatchedDrains guards the
+	// batch-scheduled serving loop the same way: a UCR sweep with
+	// pipelined bursts where no worker ever harvested ≥2 completions in
+	// one drain was exercising the old request-at-a-time loop, not the
+	// batched one.
 	SRQDemux      uint64
-	UDGets        uint64
-	UDRetransmits uint64
 	BatchedDrains uint64
 	WriteReplies  uint64
 }
@@ -53,8 +51,6 @@ func RunScript(sc Script, cfg Config) *Result {
 		res.History = out.Records
 		res.Obs = out.Obs
 		res.SRQDemux = out.SRQDemux
-		res.UDGets = out.UDGets
-		res.UDRetransmits = out.UDRetransmits
 		res.BatchedDrains = out.BatchedDrains
 		res.WriteReplies = out.WriteReplies
 	}
@@ -174,8 +170,8 @@ func formatReport(res *Result) string {
 	cfg := res.Config
 	var b strings.Builder
 	b.WriteString("memcheck: VIOLATION\n")
-	fmt.Fprintf(&b, "  seed=%d transport=%s faults=%v pressure=%v nobursts=%v onesided=%v srq=%v ud=%v wrreply=%v clients=%d ops=%d\n",
-		cfg.Seed, cfg.Transport, cfg.Faults, cfg.Pressure, cfg.NoBursts, cfg.OneSided, cfg.SRQ, cfg.UD, cfg.WriteReplies, res.Script.Clients, len(res.Script.Ops))
+	fmt.Fprintf(&b, "  seed=%d transport=%s faults=%v pressure=%v nobursts=%v onesided=%v srq=%v wrreply=%v clients=%d ops=%d\n",
+		cfg.Seed, cfg.Transport, cfg.Faults, cfg.Pressure, cfg.NoBursts, cfg.OneSided, cfg.SRQ, cfg.WriteReplies, res.Script.Clients, len(res.Script.Ops))
 	fmt.Fprintf(&b, "  violation: %s\n", res.Violation.Error())
 	replay := fmt.Sprintf("go run ./cmd/mccheck -transport %s -seed %d", cfg.Transport, cfg.Seed)
 	if cfg.Faults {
@@ -192,9 +188,6 @@ func formatReport(res *Result) string {
 	}
 	if cfg.SRQ {
 		replay += " -srq"
-	}
-	if cfg.UD {
-		replay += " -ud"
 	}
 	if cfg.WriteReplies {
 		replay += " -wrreply"

@@ -110,33 +110,6 @@ func TestSRQSeeds(t *testing.T) {
 	}
 }
 
-// TestUDSeeds sweeps the hybrid UD small-get mode. Clean runs must
-// route gets over the UD endpoint; lossy runs must additionally see
-// client-side retransmissions (silent datagram loss is the whole point
-// of the UD reliability machinery).
-func TestUDSeeds(t *testing.T) {
-	if memcached.ActiveMutations() != nil {
-		t.Skip("store mutations active")
-	}
-	for _, faults := range []bool{false, true} {
-		var gets, retx uint64
-		for seed := uint64(1); seed <= 4; seed++ {
-			res := Run(Config{Transport: cluster.UCRIB, Seed: seed, Ops: 150, Faults: faults, UD: true})
-			if res.Violation != nil {
-				t.Errorf("faults=%v seed %d:\n%s", faults, seed, res.Report)
-			}
-			gets += res.UDGets
-			retx += res.UDRetransmits
-		}
-		if gets == 0 {
-			t.Errorf("faults=%v: no request rode the UD endpoint", faults)
-		}
-		if faults && retx == 0 {
-			t.Error("faults=true: no UD retransmission happened (vacuous lossy sweep)")
-		}
-	}
-}
-
 func TestBlockingTTLSeeds(t *testing.T) {
 	if memcached.ActiveMutations() != nil {
 		t.Skip("store mutations active")
@@ -245,19 +218,18 @@ func TestMutationsCaught(t *testing.T) {
 		t.Skip("no store mutations active; run with -tags mut_append_nocas (etc.)")
 	}
 	// Some mutations only fire on an opt-in datapath, so arm it (on the
-	// UCR transport, the only one that has them). mut_ud_dup_ack needs
-	// late duplicate replies to exist at all, which takes UD traffic
-	// plus the timeouts of a lossy fabric.
-	oneSided, srq, ud, udFaults := false, false, false, false
+	// UCR transport, the only one that has them). mut_dup_ack needs late
+	// duplicate replies to exist at all, which takes the AM re-sends of
+	// a lossy fabric.
+	oneSided, srq, dupFaults := false, false, false
 	for _, m := range muts {
 		switch m {
 		case "mut_onesided_stale":
 			oneSided = true
 		case "mut_srq_misroute":
 			srq = true
-		case "mut_ud_dup_ack":
-			ud = true
-			udFaults = true
+		case "mut_dup_ack":
+			dupFaults = true
 		}
 	}
 	for seed := uint64(1); seed <= 10; seed++ {
@@ -265,10 +237,9 @@ func TestMutationsCaught(t *testing.T) {
 			for _, nb := range []bool{false, true} {
 				ucr := tr == cluster.UCRIB
 				res := Run(Config{Transport: tr, Seed: seed, Ops: 200, NoBursts: nb,
-					Faults:   udFaults && ucr,
+					Faults:   dupFaults && ucr,
 					OneSided: oneSided && ucr,
-					SRQ:      srq && ucr,
-					UD:       ud && ucr})
+					SRQ:      srq && ucr})
 				if res.Violation == nil {
 					continue
 				}

@@ -100,6 +100,31 @@ func (m *Mailbox[T]) Put(msg T) {
 	m.poke()
 }
 
+// PutAll appends msgs as one step: a receiver sees none of them or all
+// of them, never a prefix. A sender that emits several messages for one
+// logical write uses it so what the receiver harvests in one wakeup
+// does not depend on goroutine scheduling. Putting to a closed mailbox
+// is a silent no-op.
+func (m *Mailbox[T]) PutAll(msgs []T) {
+	if len(msgs) == 0 {
+		return
+	}
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return
+	}
+	for _, msg := range msgs {
+		if m.n == len(m.buf) {
+			m.grow()
+		}
+		m.buf[(m.head+m.n)%len(m.buf)] = msg
+		m.n++
+	}
+	m.mu.Unlock()
+	m.poke()
+}
+
 // PutFront pushes a message back to the head of the queue. Receivers use
 // it to undo a TryRecv/Recv they were not yet entitled to (e.g. a segment
 // whose virtual arrival lies beyond the reader's deadline) without

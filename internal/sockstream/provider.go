@@ -287,7 +287,8 @@ type Conn struct {
 	ep  *endpoint
 	clk *simnet.VClock
 
-	rbuf []byte // carry-over from a partially consumed segment
+	rbuf []byte    // carry-over from a partially consumed segment
+	wseg []segment // segments of the Write in progress (see flushSegs)
 
 	// NoDelay disables Nagle (the paper's client sets this behaviour).
 	NoDelay bool
@@ -310,18 +311,32 @@ func (c *Conn) Provider() *Provider { return c.ep.p }
 // Write sends len(b) bytes, charging syscall, copy and per-segment
 // costs, and stamping each segment with its computed arrival time.
 // It never blocks for window space (closed-loop request/response
-// workloads keep streams shallow; see package docs).
+// workloads keep streams shallow; see package docs). The segments reach
+// the peer together when Write returns, so how many of them one read
+// harvests is decided by their stamps, not by goroutine scheduling.
 func (c *Conn) Write(b []byte) (int, error) {
+	n, peer, err := c.write(b)
+	if len(c.wseg) > 0 {
+		peer.in.PutAll(c.wseg)
+		clear(c.wseg) // drop the chunk references
+		c.wseg = c.wseg[:0]
+	}
+	return n, err
+}
+
+// write stamps b's segments onto c.wseg for Write to hand over; the
+// segments queued before an error are still delivered.
+func (c *Conn) write(b []byte) (int, *endpoint, error) {
 	ep := c.ep
 	ep.mu.Lock()
 	peer := ep.peer
 	closed := ep.closed
 	ep.mu.Unlock()
 	if closed {
-		return 0, ErrClosed
+		return 0, nil, ErrClosed
 	}
 	if peer == nil {
-		return 0, ErrClosed
+		return 0, nil, ErrClosed
 	}
 	p := ep.p
 	c.clk.Advance(p.SendSyscall)
@@ -347,7 +362,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 		}
 		arrive, outcome, err := p.Fabric.DeliverFaulty(ep.node, peer.node, sendAt+p.SendDeferred, n+p.WireHeader)
 		if err != nil {
-			return written, ErrUnreachable
+			return written, peer, ErrUnreachable
 		}
 		if outcome != simnet.Delivered {
 			// Kernel TCP retransmission: the caller's thread is NOT
@@ -365,7 +380,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 				rto *= 2
 				arrive, outcome, err = p.Fabric.DeliverFaulty(ep.node, peer.node, txAt, n+p.WireHeader)
 				if err != nil {
-					return written, ErrUnreachable
+					return written, peer, ErrUnreachable
 				}
 				if outcome == simnet.Delivered {
 					ok = true
@@ -373,13 +388,13 @@ func (c *Conn) Write(b []byte) (int, error) {
 				}
 			}
 			if !ok {
-				return written, ErrUnreachable
+				return written, peer, ErrUnreachable
 			}
 		}
-		peer.in.Put(segment{data: chunk, arrive: arrive + p.RecvDeferred})
+		c.wseg = append(c.wseg, segment{data: chunk, arrive: arrive + p.RecvDeferred})
 		written += n
 	}
-	return written, nil
+	return written, peer, nil
 }
 
 // Read fills b with at least one byte, blocking until data arrives.

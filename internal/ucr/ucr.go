@@ -110,7 +110,7 @@ func (c *Counter) bumpIf(id CounterID) {
 }
 
 // MutBump increments the counter from outside the delivery path. It
-// exists only for seeded-mutation builds — mut_ud_dup_ack routes a
+// exists only for seeded-mutation builds — mut_dup_ack routes a late
 // duplicate reply's completion event into a live slot, which means
 // firing that slot's counter as if its own reply had arrived. Normal
 // code never calls it.

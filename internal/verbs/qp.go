@@ -300,7 +300,7 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr SendWR, remote *QP) error {
 
 	// The payload is copied now (sender goroutine acts as the DMA
 	// engine); the stamp says when it becomes visible.
-	rstatus, rtime := dst.receive(wr.Local, wr.Imm, q.qpn, arrive)
+	rstatus, rtime, rwc, rpost := dst.receive(wr.Local, wr.Imm, q.qpn, arrive)
 
 	// RNR retry: a reliable sender re-offers the message after the
 	// receiver reported no posted buffer, waiting RNRTimer between
@@ -312,7 +312,7 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr SendWR, remote *QP) error {
 			rstatus, rtime = s2, rtime+cfg.RNRTimer
 			break
 		}
-		rstatus, rtime = dst.receive(wr.Local, wr.Imm, q.qpn, a2)
+		rstatus, rtime, rwc, rpost = dst.receive(wr.Local, wr.Imm, q.qpn, a2)
 	}
 
 	// Local completion: for an inline or buffered send the origin buffer
@@ -328,37 +328,47 @@ func (q *QP) postSendMsg(clk *simnet.VClock, wr SendWR, remote *QP) error {
 			q.Modify(StateErr)
 		}
 	}
+	// The local completion is posted before the remote one: once the
+	// receiver can see the message it may answer at once, and a reply
+	// that overtook this completion in the sender's CQ would make the
+	// harvest order — and so the virtual timing — depend on goroutine
+	// scheduling.
 	q.sendCQ.post(WC{ID: wr.ID, Op: OpSend, Status: localStatus, ByteLen: n, QPN: q.qpn, Time: localTime})
+	if rpost {
+		dst.recvCQ.post(rwc)
+	}
 	return nil
 }
 
-// receive consumes a posted receive buffer for an incoming SEND.
-func (q *QP) receive(payload []byte, imm uint32, srcQPN uint32, arrive simnet.Time) (Status, simnet.Time) {
+// receive consumes a posted receive buffer for an incoming SEND. It
+// returns the receive completion the message produced (post=false when
+// none) for the sender to post once its own completion is queued.
+func (q *QP) receive(payload []byte, imm uint32, srcQPN uint32, arrive simnet.Time) (st Status, at simnet.Time, wc WC, post bool) {
 	cfg := q.hca.cfg
 	q.mu.Lock()
 	state := q.state
 	q.mu.Unlock()
 	if state != StateRTR && state != StateRTS {
-		return StatusRemoteError, arrive
+		return StatusRemoteError, arrive, WC{}, false
 	}
 	wr, ok := q.popRecv()
 	if !ok {
 		if q.typ == UD {
-			return StatusSuccess, arrive // dropped on the floor
+			return StatusSuccess, arrive, WC{}, false // dropped on the floor
 		}
-		return StatusRNRRetryExceeded, arrive
+		return StatusRNRRetryExceeded, arrive, WC{}, false
 	}
 	if len(wr.Buf) < len(payload) {
-		q.recvCQ.post(WC{ID: wr.ID, Op: OpRecv, Status: StatusRemoteError, QPN: q.qpn, SrcQPN: srcQPN, Time: arrive})
-		return StatusRemoteError, arrive
+		wc = WC{ID: wr.ID, Op: OpRecv, Status: StatusRemoteError, QPN: q.qpn, SrcQPN: srcQPN, Time: arrive}
+		return StatusRemoteError, arrive, wc, true
 	}
 	copy(wr.Buf, payload)
 	placed := q.hca.recvEngine.Acquire(arrive, cfg.RecvProc) + cfg.RecvProc
-	q.recvCQ.post(WC{
+	wc = WC{
 		ID: wr.ID, Op: OpRecv, Status: StatusSuccess,
 		ByteLen: len(payload), Imm: imm, QPN: q.qpn, SrcQPN: srcQPN, Time: placed,
-	})
-	return StatusSuccess, placed
+	}
+	return StatusSuccess, placed, wc, true
 }
 
 // rdmaPeer validates the one-sided preconditions and returns the target.
